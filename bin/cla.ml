@@ -212,7 +212,7 @@ let options_term =
           include_dirs;
           defines = parse_defines defines;
           virtual_fs = [];
-          drop_bodies = (fun _ -> false);
+          drop_bodies = [];
         })
     $ mode_arg $ include_dirs_arg $ defines_arg)
 
@@ -245,41 +245,25 @@ let compile_cmd =
               | Some o, [ _ ] -> o
               | _ -> Filename.remove_extension src ^ ".clo"
             in
-            (* Incremental compile: when the output object already
-               exists and records the same TU content hash (preprocessed
-               source + flags), the expensive parse/serialize is
-               skipped.  A hash probe is just the preprocessor plus a
-               digest; mismatches, unreadable objects, and pre-hash
-               objects all fall through to a fresh compile. *)
-            let up_to_date src =
-              let out = out_for src in
-              Sys.file_exists out
-              && (match Objfile.load_result out with
-                 | Error _ -> false
-                 | Ok v -> (
-                     match v.Objfile.rtuhash with
-                     | None -> false
-                     | Some h -> (
-                         match
-                           let ic = open_in_bin src in
-                           let n = in_channel_length ic in
-                           let s = really_input_string ic n in
-                           close_in ic;
-                           Compilep.tu_hash ~options ~file:src s
-                         with
-                         | h' -> String.equal h h'
-                         | exception _ -> false)))
+            (* Incremental compile: the hash the existing output object
+               records (if it loads) is the unit's cache entry, so an
+               unchanged unit — same preprocessed source and flags — is
+               preprocessed and hashed but never parsed. *)
+            let recorded src =
+              match Objfile.load_result (out_for src) with
+              | Ok v -> v.Objfile.rtuhash
+              | Error _ -> None
             in
             let results =
               let compile src =
-                if up_to_date src then begin
-                  Cla_obs.Metrics.incr "compile.cache.hits";
-                  (src, `Cached)
-                end
-                else begin
-                  Cla_obs.Metrics.incr "compile.cache.misses";
-                  (src, `Fresh (Compilep.compile_file_result ~options src))
-                end
+                ( src,
+                  Diag.capture ~file:src ~phase:Diag.Compile (fun () ->
+                      let source =
+                        In_channel.with_open_bin src In_channel.input_all
+                      in
+                      snd
+                        (Compilep.compile_unit ~options
+                           ?cached:(recorded src) ~file:src source)) )
               in
               if jobs <= 1 then List.map compile sources
               else
@@ -293,11 +277,11 @@ let compile_cmd =
               (fun (src, result) ->
                 let out = out_for src in
                 match result with
-                | `Cached -> Fmt.pr "%s -> %s (cached)@." src out
-                | `Fresh (Ok db) ->
+                | Ok Compilep.Hit -> Fmt.pr "%s -> %s (cached)@." src out
+                | Ok (Compilep.Compiled db) ->
                     Objfile.save out db;
                     Fmt.pr "%s -> %s@." src out
-                | `Fresh (Error d) ->
+                | Error d ->
                     if keep_going then begin
                       Diag.add c d;
                       Fmt.epr "cla: %a@." Diag.pp d

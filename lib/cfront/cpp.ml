@@ -714,11 +714,3 @@ let preprocess_string ?include_dirs ?virtual_fs ?defines ~file content =
   let t = create ?include_dirs ?virtual_fs ?defines () in
   process_string t ~file content;
   Buffer.contents t.out
-
-(** Preprocess a file from disk. *)
-let preprocess_file ?include_dirs ?virtual_fs ?defines path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let content = really_input_string ic len in
-  close_in ic;
-  preprocess_string ?include_dirs ?virtual_fs ?defines ~file:path content

@@ -24,11 +24,3 @@ val preprocess_string :
   file:string ->
   string ->
   string
-
-(** Preprocess a file from disk. *)
-val preprocess_file :
-  ?include_dirs:string list ->
-  ?virtual_fs:(string * string) list ->
-  ?defines:(string * string) list ->
-  string ->
-  string

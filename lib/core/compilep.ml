@@ -13,8 +13,7 @@ type options = {
   include_dirs : string list;
   defines : (string * string) list;
   virtual_fs : (string * string) list;
-  drop_bodies : string -> bool;
-      (** suppress these function bodies, keeping declared interfaces *)
+  drop_bodies : string list;
 }
 
 let default_options =
@@ -23,7 +22,7 @@ let default_options =
     include_dirs = [];
     defines = [];
     virtual_fs = [];
-    drop_bodies = (fun _ -> false);
+    drop_bodies = [];
   }
 
 (* Non-blank, non-# lines — the paper's source line count metric. *)
@@ -150,9 +149,9 @@ let db_of_prog ?(source_lines = 0) ?(preproc_lines = 0) (p : Prog.t) : Objfile.d
 
 (* Canonical rendering of the compile options that shape the produced
    database, for the TU content hash.  [virtual_fs] is omitted — its
-   effect is fully captured by the preprocessed text; [drop_bodies] is a
-   function and cannot be rendered, so callers that use it must bypass
-   the compile cache (the incremental driver never sets it). *)
+   effect is fully captured by the preprocessed text.  [drop_bodies]
+   enters only when non-empty, so every default-option hash is the bare
+   mode name. *)
 let render_options (o : options) =
   let b = Buffer.create 64 in
   Buffer.add_string b
@@ -171,92 +170,79 @@ let render_options (o : options) =
       Buffer.add_char b '=';
       Buffer.add_string b v)
     o.defines;
+  List.iter
+    (fun f ->
+      Buffer.add_string b "\x00B";
+      Buffer.add_string b f)
+    (List.sort_uniq String.compare o.drop_bodies);
   Buffer.contents b
 
-(* The TU content hash: preprocessed source + canonical options.  Two
-   units with equal hashes compile to interchangeable databases. *)
-let hash_of_preprocessed ~options preprocessed =
-  Digest.to_hex
-    (Digest.string (render_options options ^ "\x00" ^ preprocessed))
-
-(** Content-hash a translation unit without parsing it: just the
-    preprocessor plus a digest.  This is the cheap probe the incremental
-    pipeline runs to decide whether the expensive parse / normalize /
-    serialize steps can be skipped; it equals the [tuhash] recorded in
-    the object {!compile_string} would produce for the same input. *)
-let tu_hash ?(options = default_options) ~file source : string =
+(* The one call into the preprocessor, and the TU content hash over its
+   output: preprocessed source + canonical options.  Two units with
+   equal hashes compile to interchangeable databases. *)
+let preprocess (o : options) ~file source =
   let preprocessed =
-    Cpp.preprocess_string ~include_dirs:options.include_dirs
-      ~virtual_fs:options.virtual_fs ~defines:options.defines ~file source
+    Cpp.preprocess_string ~include_dirs:o.include_dirs
+      ~virtual_fs:o.virtual_fs ~defines:o.defines ~file source
   in
-  hash_of_preprocessed ~options preprocessed
+  let hash =
+    Digest.to_hex (Digest.string (render_options o ^ "\x00" ^ preprocessed))
+  in
+  (preprocessed, hash)
 
-(** Compile C source text into a database.  Recorded as a ["compile"]
-    span (labelled with the file) and published as [compile.*] metrics. *)
+let tu_hash ?(options = default_options) ~file source : string =
+  snd (preprocess options ~file source)
+
+module SS = Set.Make (String)
+
+(* Parse, normalize and lower text [preprocess] already produced. *)
+let compile_preprocessed (o : options) ~file ~source ~hash preprocessed =
+  let dropped = SS.of_list o.drop_bodies in
+  let parsed = Cparser.parse_string ~file preprocessed in
+  let prog =
+    Normalize.run ~mode:o.mode ~drop_bodies:(fun f -> SS.mem f dropped) parsed
+  in
+  let db =
+    {
+      (db_of_prog
+         ~source_lines:(count_source_lines source)
+         ~preproc_lines:(count_lines preprocessed) prog)
+      with
+      Objfile.tuhash = Some hash;
+    }
+  in
+  Cla_obs.Metrics.incr "compile.units";
+  Cla_obs.Metrics.incr ~by:db.Objfile.meta.Objfile.msource_lines
+    "compile.source_lines";
+  Cla_obs.Metrics.incr ~by:db.Objfile.meta.Objfile.mpreproc_lines
+    "compile.preproc_lines";
+  db
+
 let compile_string ?(options = default_options) ~file source : Objfile.db =
   Cla_obs.Obs.with_span "compile" ~label:file (fun () ->
-      let preprocessed =
-        Cpp.preprocess_string ~include_dirs:options.include_dirs
-          ~virtual_fs:options.virtual_fs ~defines:options.defines ~file source
-      in
-      let tuhash = hash_of_preprocessed ~options preprocessed in
-      let parsed = Cparser.parse_string ~file preprocessed in
-      let prog =
-        Normalize.run ~mode:options.mode ~drop_bodies:options.drop_bodies
-          parsed
-      in
-      let db =
-        {
-          (db_of_prog
-             ~source_lines:(count_source_lines source)
-             ~preproc_lines:(count_lines preprocessed) prog)
-          with
-          Objfile.tuhash = Some tuhash;
-        }
-      in
-      Cla_obs.Metrics.incr "compile.units";
-      Cla_obs.Metrics.incr ~by:db.Objfile.meta.Objfile.msource_lines
-        "compile.source_lines";
-      Cla_obs.Metrics.incr ~by:db.Objfile.meta.Objfile.mpreproc_lines
-        "compile.preproc_lines";
-      db)
+      let preprocessed, hash = preprocess options ~file source in
+      compile_preprocessed options ~file ~source ~hash preprocessed)
 
-(** Compile a C file from disk into a database. *)
+type outcome = Hit | Compiled of Objfile.db
+
+let compile_unit ?(options = default_options) ?cached ~file source =
+  Cla_obs.Obs.with_span "compile" ~label:file (fun () ->
+      let preprocessed, hash = preprocess options ~file source in
+      if Option.equal String.equal cached (Some hash) then begin
+        Cla_obs.Metrics.incr "compile.cache.hits";
+        (hash, Hit)
+      end
+      else begin
+        Cla_obs.Metrics.incr "compile.cache.misses";
+        let db =
+          compile_preprocessed options ~file ~source ~hash preprocessed
+        in
+        (hash, Compiled db)
+      end)
+
 let compile_file ?(options = default_options) path : Objfile.db =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let source = really_input_string ic len in
-  close_in ic;
-  compile_string ~options ~file:path source
+  compile_string ~options ~file:path
+    (In_channel.with_open_bin path In_channel.input_all)
 
-(** Compile and serialize to an object file on disk (like [cc -c]). *)
 let compile_to ?(options = default_options) ~output path =
   Objfile.save output (compile_file ~options path)
-
-(** Like {!compile_file}, surfacing front-end failures (parse, cpp, lex,
-    missing file) as a structured {!Diag.t} instead of an exception. *)
-let compile_file_result ?(options = default_options) path :
-    (Objfile.db, Diag.t) result =
-  Diag.capture ~file:path ~phase:Diag.Compile (fun () ->
-      compile_file ~options path)
-
-(** Compile a batch of files.  Failures are recorded as diagnostics
-    (bumping [compile.errors]); with [keep_going] the remaining files are
-    still compiled, without it the first failure raises {!Diag.Fail}.
-    Returns the units that did compile, in input order, with their
-    paths. *)
-let compile_many ?(options = default_options) ?(keep_going = false) paths :
-    (string * Objfile.db) list * Diag.t list =
-  let c = Diag.collector () in
-  let dbs =
-    List.filter_map
-      (fun path ->
-        match compile_file_result ~options path with
-        | Ok db -> Some (path, db)
-        | Error d ->
-            Diag.add c d;
-            if not keep_going then raise (Diag.Fail d);
-            None)
-      paths
-  in
-  (dbs, Diag.to_list c)

@@ -11,9 +11,10 @@ type options = {
   include_dirs : string list;
   defines : (string * string) list;
   virtual_fs : (string * string) list;  (** in-memory headers, for tests *)
-  drop_bodies : string -> bool;
-      (** suppress these function bodies, keeping declared interfaces —
-          the building block of open-world deletion testing *)
+  drop_bodies : string list;
+      (** names of functions whose bodies are suppressed, keeping their
+          declared interfaces — the building block of open-world
+          deletion testing.  Order and duplicates do not matter. *)
 }
 
 val default_options : options
@@ -23,36 +24,38 @@ val db_of_prog :
   ?source_lines:int -> ?preproc_lines:int -> Cla_ir.Prog.t -> Objfile.db
 
 (** Content-hash a translation unit without parsing it: preprocessed
-    source plus a canonical rendering of the options (mode, defines,
-    include dirs).  Equals the [Objfile.tuhash] that {!compile_string}
-    records for the same input — the cheap probe the incremental
-    pipeline uses to skip unchanged units.  Note [drop_bodies] is not
-    part of the hash (it is a function); callers using it must not rely
-    on hash equality. *)
+    source plus a canonical rendering of the options (mode, include
+    dirs, defines, and [drop_bodies] when non-empty).  With default
+    options this is the hex digest of ["field_based\x00"] followed by
+    the preprocessed text.  Equals the [Objfile.tuhash] that
+    {!compile_string} records for the same input. *)
 val tu_hash : ?options:options -> file:string -> string -> string
 
-(** Compile C source text into a database.  The produced database
-    carries [tuhash = Some (tu_hash ...)]. *)
+(** Compile C source text into a database carrying
+    [tuhash = Some (tu_hash ...)].  Recorded as a ["compile"] span
+    (labelled with the file) and published as [compile.*] metrics; it
+    consults no cache. *)
 val compile_string : ?options:options -> file:string -> string -> Objfile.db
+
+(** What {!compile_unit} did with a unit. *)
+type outcome =
+  | Hit  (** the unit hashes to the caller's [cached] hash *)
+  | Compiled of Objfile.db  (** parsed afresh, like {!compile_string} *)
+
+(** The compile cache's one decision: preprocess the unit once, hash it,
+    and either report a {!Hit} against [cached] (the hash recorded for
+    this unit last time, if any) or parse the text already in hand.
+    Returns the unit's hash with the outcome and bumps
+    [compile.cache.hits] or [compile.cache.misses]. *)
+val compile_unit :
+  ?options:options ->
+  ?cached:string ->
+  file:string ->
+  string ->
+  string * outcome
 
 (** Compile a C file from disk. *)
 val compile_file : ?options:options -> string -> Objfile.db
 
 (** Compile and serialize to an object file on disk (like [cc -c]). *)
 val compile_to : ?options:options -> output:string -> string -> unit
-
-(** Like {!compile_file}, surfacing front-end failures (parse, cpp, lex,
-    missing file) as a structured {!Diag.t} instead of an exception. *)
-val compile_file_result :
-  ?options:options -> string -> (Objfile.db, Diag.t) result
-
-(** Compile a batch of files.  Failures are recorded as diagnostics
-    (bumping [compile.errors]); with [keep_going] the remaining files
-    are still compiled, without it the first failure raises
-    {!Diag.Fail}.  Returns the units that did compile, in input order,
-    with their paths. *)
-val compile_many :
-  ?options:options ->
-  ?keep_going:bool ->
-  string list ->
-  (string * Objfile.db) list * Diag.t list

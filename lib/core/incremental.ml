@@ -6,8 +6,8 @@
     ({!Andersen.t}) — and threads an edited source set through all
     three:
 
-    - unchanged units are detected by {!Compilep.tu_hash} (one
-      preprocessor run, no parse) and reused, counted in
+    - unchanged units are detected by {!Compilep.compile_unit} (one
+      preprocessor run, no parse on a hit) and reused, counted in
       [compile.cache.hits]/[compile.cache.misses];
     - the delta linker patches the linked view in place of a full
       re-merge when it can ({!Linkp.relink});
@@ -47,20 +47,19 @@ type stats = {
   wall_solve_s : float;
 }
 
-(* [drop_bodies] is a function and cannot be content-hashed
-   (see {!Compilep.tu_hash}); a non-default one disables unit reuse the
-   same way {!Pipeline}'s object cache bypasses itself. *)
-let cacheable options =
-  options.Compilep.drop_bodies == Compilep.default_options.Compilep.drop_bodies
-
-let compile_unit ~options file src =
-  let db = Compilep.compile_string ~options ~file src in
-  let hash =
-    match db.Objfile.tuhash with
-    | Some h -> h
-    | None -> (* compile_string always records one *) assert false
-  in
-  (hash, Objfile.view_of_string (Objfile.write db))
+(* Compile one unit through {!Compilep.compile_unit}, probing with the
+   hash its table entry recorded: a hit reuses the entry's view, a miss
+   replaces the entry.  Returns whether it was a hit, and the unit. *)
+let compile_into ~options units (file, src) =
+  let entry = Hashtbl.find_opt units file in
+  match
+    Compilep.compile_unit ~options ?cached:(Option.map fst entry) ~file src
+  with
+  | _, Compilep.Hit -> (true, (file, snd (Option.get entry)))
+  | h, Compilep.Compiled db ->
+      let uview = Objfile.view_of_string (Objfile.write db) in
+      Hashtbl.replace units file (h, uview);
+      (false, (file, uview))
 
 let solution t = t.result.Andersen.solution
 let result t = t.result
@@ -70,13 +69,7 @@ let create ?(options = Compilep.default_options) ?pool ?(units = []) sources =
   let t0 = now () in
   let tbl = Hashtbl.create 64 in
   let compiled =
-    List.map
-      (fun (file, src) ->
-        Cla_obs.Metrics.incr "compile.cache.misses";
-        let h, uview = compile_unit ~options file src in
-        Hashtbl.replace tbl file (h, uview);
-        (file, uview))
-      sources
+    List.map (fun u -> snd (compile_into ~options tbl u)) sources
   in
   let t1 = now () in
   let lstate, delta = Linkp.state_create (compiled @ units) in
@@ -105,28 +98,10 @@ let update t ?(units = []) sources =
   let hits = ref 0 and misses = ref 0 in
   let compiled =
     List.map
-      (fun (file, src) ->
-        let reuse =
-          if not (cacheable t.options) then None
-          else
-            match Hashtbl.find_opt t.units file with
-            | Some (h, uview)
-              when String.equal h
-                     (Compilep.tu_hash ~options:t.options ~file src) ->
-                Some uview
-            | _ -> None
-        in
-        match reuse with
-        | Some uview ->
-            incr hits;
-            Cla_obs.Metrics.incr "compile.cache.hits";
-            (file, uview)
-        | None ->
-            incr misses;
-            Cla_obs.Metrics.incr "compile.cache.misses";
-            let h, uview = compile_unit ~options:t.options file src in
-            Hashtbl.replace t.units file (h, uview);
-            (file, uview))
+      (fun u ->
+        let hit, unit_ = compile_into ~options:t.options t.units u in
+        incr (if hit then hits else misses);
+        unit_)
       sources
   in
   (* forget cache entries for files no longer in the source set *)

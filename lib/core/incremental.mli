@@ -3,8 +3,8 @@
 
     {!create} compiles, links and solves a source set from scratch while
     keeping the three pieces of reusable state: the per-unit compile
-    cache (TU content hash -> unit view, probed by {!Compilep.tu_hash}),
-    the delta linker ({!Linkp.state}) and the solver's iteration state
+    cache (TU content hash -> unit view, probed through
+    {!Compilep.compile_unit}), the delta linker ({!Linkp.state}) and the solver's iteration state
     ({!Andersen.t}).  Each {!update} then skips unchanged units
     ([compile.cache.hits]), patches the linked view
     ({!Linkp.relink}) and — on a pure-add constraint delta — resumes
@@ -39,9 +39,7 @@ type stats = {
     the solver's query fan-out.  [units] are pre-compiled unit views
     (e.g. [.clo] files the caller loads and revalidates itself —
     {!Loader.load_file_cached}) linked after the compiled sources; they
-    bypass the compile cache and its hit/miss counters.  With a
-    non-default [drop_bodies] the compile cache disables itself (the
-    predicate cannot be content-hashed). *)
+    bypass the compile cache and its hit/miss counters. *)
 val create :
   ?options:Compilep.options ->
   ?pool:Cla_par.Pool.t ->

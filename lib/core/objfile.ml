@@ -8,7 +8,6 @@
     u32 section_count
     section table: (u8 id, u32 offset, u32 size, u32 crc32) per section
     u32 table_crc32: checksum of section_count + table
-                     (CLA1 files carry neither crc field; checks skipped)
     sections:
       STRTAB   common strings (Figure 4's "string section")
       VARS     one record per object: name, kind, linkage, type, decl loc
@@ -32,16 +31,12 @@
 
 open Cla_ir
 
-(* Format versions.  CLA2 adds a per-section CRC32 to every section-table
-   entry; CLA1 files (written before checksums existed) are still read,
-   with verification skipped. *)
-let magic_v1 = "CLA1"
+(* The fourth magic character is the format version; any other magic,
+   including the checksum-free CLA1, is rejected as corrupt. *)
 let magic = "CLA2"
-let current_version = 2
 
-(* Section-table entry sizes: (u8 id, u32 off, u32 size) in CLA1, plus a
-   u32 crc in CLA2. *)
-let entry_size = function 1 -> 9 | _ -> 13
+(* Section-table entry size: u8 id, u32 off, u32 size, u32 crc. *)
+let entry_size = 13
 
 (* Section ids *)
 let sec_strtab = 0
@@ -194,12 +189,8 @@ let write_block_prim w st p =
   | None -> ());
   write_loc w st p.ploc
 
-(** Serialize a database to object-file bytes.  [version] defaults to
-    the current CLA2 format; [~version:1] writes the legacy checksum-free
-    CLA1 layout (kept for compatibility tests and downgrade paths). *)
-let write ?(version = current_version) (db : db) : string =
-  if version <> 1 && version <> 2 then
-    invalid_arg (Fmt.str "Objfile.write: unsupported version %d" version);
+(** Serialize a database to CLA2 object-file bytes. *)
+let write (db : db) : string =
   let st = Strtab.create () in
   (* Pre-intern everything so the string table can be emitted first;
      sections are built into their own buffers. *)
@@ -351,21 +342,20 @@ let write ?(version = current_version) (db : db) : string =
     @ match b_tuhash with Some b -> [ (sec_tuhash, b) ] | None -> []
   in
   let header = Binio.writer () in
-  Buffer.add_string header (if version = 1 then magic_v1 else magic);
+  Buffer.add_string header magic;
   Binio.u32 header (List.length sections);
   let table_pos = Binio.wpos header in
-  let esize = entry_size version in
   List.iter
     (fun (id, _) ->
       Binio.u8 header id;
       Binio.u32 header 0;
       Binio.u32 header 0;
-      if version >= 2 then Binio.u32 header 0)
+      Binio.u32 header 0)
     sections;
-  (* v2: checksum over the table itself (count + entries), so corruption
-     of the header — a flipped section count or id — cannot silently
-     drop or retarget sections. *)
-  if version >= 2 then Binio.u32 header 0;
+  (* checksum over the table itself (count + entries), so corruption of
+     the header — a flipped section count or id — cannot silently drop or
+     retarget sections *)
+  Binio.u32 header 0;
   let out = Buffer.create (1 lsl 16) in
   Buffer.add_buffer out header;
   let offsets =
@@ -380,20 +370,17 @@ let write ?(version = current_version) (db : db) : string =
   let data = Bytes.unsafe_to_string bytes in
   List.iteri
     (fun i (_, off, size) ->
-      let entry = table_pos + (i * esize) in
+      let entry = table_pos + (i * entry_size) in
       Binio.patch_u32 bytes ~pos:(entry + 1) off;
       Binio.patch_u32 bytes ~pos:(entry + 5) size;
-      if version >= 2 then
-        (* [data] aliases [bytes], already carrying the section payloads;
-           only the table itself is still being patched. *)
-        Binio.patch_u32 bytes ~pos:(entry + 9)
-          (Crc32.sub data ~pos:off ~len:size))
+      (* [data] aliases [bytes], already carrying the section payloads;
+         only the table itself is still being patched. *)
+      Binio.patch_u32 bytes ~pos:(entry + 9)
+        (Crc32.sub data ~pos:off ~len:size))
     offsets;
-  if version >= 2 then begin
-    let table_end = table_pos + (List.length sections * esize) in
-    Binio.patch_u32 bytes ~pos:table_end
-      (Crc32.sub data ~pos:4 ~len:(table_end - 4))
-  end;
+  let table_end = table_pos + (List.length sections * entry_size) in
+  Binio.patch_u32 bytes ~pos:table_end
+    (Crc32.sub data ~pos:4 ~len:(table_end - 4));
   data
 
 (* ------------------------------------------------------------------ *)
@@ -407,7 +394,6 @@ let write ?(version = current_version) (db : db) : string =
     load-and-throw-away strategies of Section 6 possible. *)
 type view = {
   data : string;
-  rversion : int;  (** format version the file was written with (1 or 2) *)
   strings : string array;
   rvars : varinfo array;
   rkeys : (int * string) list;
@@ -468,35 +454,31 @@ type section_entry = {
   sec_id : int;
   sec_off : int;
   sec_size : int;
-  sec_crc : int option;  (** [None] for checksum-free CLA1 files *)
+  sec_crc : int;
 }
 
 (* Parse and fully validate the header: magic, section table bounds
-   (entries inside the file, past the header, non-overlapping), and —
-   for CLA2 — the table's own checksum.  Shared by [view_of_string] and
+   (entries inside the file, past the header, non-overlapping), and the
+   table's own checksum.  Shared by [view_of_string] and
    [section_table] so the parallel verifier walks exactly the same
    validated table as the sequential loader. *)
 let parse_header (data : string) =
   let len = String.length data in
-  let version =
-    if len < 8 then raise (Binio.Corrupt "not a CLA object file (too short)")
-    else if String.sub data 0 4 = magic then 2
-    else if String.sub data 0 4 = magic_v1 then 1
-    else raise (Binio.Corrupt "not a CLA object file (bad magic)")
-  in
+  if len < 8 then raise (Binio.Corrupt "not a CLA object file (too short)");
+  if String.sub data 0 4 <> magic then
+    raise (Binio.Corrupt "not a CLA object file (bad magic)");
   let r = Binio.reader ~pos:4 data in
-  let esize = entry_size version in
-  let nsec = Binio.rcount ~min_size:esize r in
-  let table_end = 8 + (nsec * esize) in
-  (* v2 appends a u32 checksum of the table after the entries *)
-  let header_end = if version >= 2 then table_end + 4 else table_end in
+  let nsec = Binio.rcount ~min_size:entry_size r in
+  let table_end = 8 + (nsec * entry_size) in
+  (* a u32 checksum of the table follows the entries *)
+  let header_end = table_end + 4 in
   let sections = Hashtbl.create 16 in
   let entries = ref [] in
   for _ = 1 to nsec do
     let id = Binio.ru8 r in
     let off = Binio.ru32 r in
     let size = Binio.ru32 r in
-    let crc = if version >= 2 then Some (Binio.ru32 r) else None in
+    let crc = Binio.ru32 r in
     if Hashtbl.mem sections id then
       raise (Binio.Corrupt (Fmt.str "duplicate section %d" id));
     if off < header_end || off + size > len then
@@ -510,8 +492,8 @@ let parse_header (data : string) =
   (* the table checksum covers the count and every entry: a flipped
      section count, id, offset or size is caught here even when the
      mutated table would otherwise parse cleanly *)
-  if version >= 2 && Binio.ru32 r <> Crc32.sub data ~pos:4 ~len:(table_end - 4)
-  then raise (Binio.Corrupt "section table checksum mismatch");
+  if Binio.ru32 r <> Crc32.sub data ~pos:4 ~len:(table_end - 4) then
+    raise (Binio.Corrupt "section table checksum mismatch");
   (* sections may be laid out in any order but must not overlap *)
   let sorted =
     List.sort (fun a b -> compare a.sec_off b.sec_off) !entries
@@ -523,49 +505,40 @@ let parse_header (data : string) =
            raise (Binio.Corrupt (Fmt.str "section %d overlaps" e.sec_id));
          e.sec_off + e.sec_size)
        header_end sorted);
-  (version, sections, List.rev !entries)
+  (sections, List.rev !entries)
 
-let section_table data =
-  let _, _, entries = parse_header data in
-  entries
+let section_table data = snd (parse_header data)
 
-(** Checksum one section against its table entry (no-op for CLA1
-    entries, which carry no checksum).  Raises {!Binio.Corrupt} on
-    mismatch.  Pure over immutable bytes, so entries of the same file
-    may be verified from concurrent domains. *)
+(** Checksum one section against its table entry.  Raises
+    {!Binio.Corrupt} on mismatch.  Pure over immutable bytes, so entries
+    of the same file may be verified from concurrent domains. *)
 let verify_section data e =
-  match e.sec_crc with
-  | None -> ()
-  | Some crc ->
-      if Crc32.sub data ~pos:e.sec_off ~len:e.sec_size <> crc then
-        raise
-          (Binio.Corrupt (Fmt.str "section %d checksum mismatch" e.sec_id))
+  if Crc32.sub data ~pos:e.sec_off ~len:e.sec_size <> e.sec_crc then
+    raise (Binio.Corrupt (Fmt.str "section %d checksum mismatch" e.sec_id))
 
 (** Parse the header and eager sections of object-file bytes.
 
     Defensive by design: the section table is bounds-checked (entries
     must lie inside the file, past the header, and must not overlap),
-    every record count is checked against the bytes that remain, and —
-    for CLA2 files — each section's CRC32 is verified the first time it
-    is opened.  Any violation raises {!Binio.Corrupt}; no input may
-    produce [Invalid_argument], out-of-bounds access, or an attempted
-    huge allocation.
+    every record count is checked against the bytes that remain, and
+    each section's CRC32 is verified the first time it is opened.  Any
+    violation raises {!Binio.Corrupt}; no input may produce
+    [Invalid_argument], out-of-bounds access, or an attempted huge
+    allocation.
 
     [~verify:false] skips the per-section checksums — for callers that
     have already verified them, e.g. {!Loader.view_par}, which fans the
     CRC sweep out across a domain pool before parsing. *)
 let view_of_string ?(verify = true) (data : string) : view =
-  let version, sections, _ = parse_header data in
+  let sections, _ = parse_header data in
   let verified = Array.make 256 false in
   let sec id =
     match Hashtbl.find_opt sections id with
     | Some (off, size, crc) ->
         (if verify && not verified.(id) then begin
-           (match crc with
-           | Some crc when Crc32.sub data ~pos:off ~len:size <> crc ->
-               raise
-                 (Binio.Corrupt (Fmt.str "section %d checksum mismatch" id))
-           | _ -> ());
+           if Crc32.sub data ~pos:off ~len:size <> crc then
+             raise
+               (Binio.Corrupt (Fmt.str "section %d checksum mismatch" id));
            verified.(id) <- true
          end);
         Binio.reader ~pos:off ~limit:(off + size) data
@@ -719,7 +692,6 @@ let view_of_string ?(verify = true) (data : string) : view =
   let n_load = Binio.rvarint r in
   {
     data;
-    rversion = version;
     strings;
     rvars;
     rkeys;

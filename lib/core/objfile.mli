@@ -113,14 +113,10 @@ type db = {
 (* ------------------------------------------------------------------ *)
 (** {1 Serialization} *)
 
-(** The format version {!write} emits by default (2, magic ["CLA2"]). *)
-val current_version : int
-
-(** Serialize a database to object-file bytes.  The default CLA2 format
-    carries a per-section CRC32 in the section table; [~version:1]
-    writes the legacy checksum-free CLA1 layout (compatibility tests,
-    downgrade paths).  Raises [Invalid_argument] on any other version. *)
-val write : ?version:int -> db -> string
+(** Serialize a database to object-file bytes (magic ["CLA2"]), with a
+    per-section CRC32 in the section table.  Files with any other magic,
+    including the checksum-free CLA1, are rejected on read. *)
+val write : db -> string
 
 (** A view over serialized bytes.  Everything cheap is decoded eagerly;
     the DYNAMIC blocks — the bulk of the file — decode on demand via
@@ -128,7 +124,6 @@ val write : ?version:int -> db -> string
     load-and-throw-away strategies of Section 6. *)
 type view = {
   data : string;
-  rversion : int;  (** format version the file was written with (1 or 2) *)
   strings : string array;
   rvars : varinfo array;
   rkeys : (int * string) list;
@@ -151,7 +146,7 @@ type section_entry = {
   sec_id : int;
   sec_off : int;
   sec_size : int;
-  sec_crc : int option;  (** [None] for checksum-free CLA1 files *)
+  sec_crc : int;
 }
 
 (** Parse and validate the section table alone (magic, bounds,
@@ -161,8 +156,7 @@ type section_entry = {
     checksum the payloads. *)
 val section_table : string -> section_entry list
 
-(** Checksum one section's bytes against its table entry; no-op for
-    CLA1 entries.  Raises {!Binio.Corrupt} on mismatch.  Pure over
+(** Checksum one section's bytes against its table entry.  Raises {!Binio.Corrupt} on mismatch.  Pure over
     immutable bytes: safe to call concurrently from worker domains. *)
 val verify_section : string -> section_entry -> unit
 

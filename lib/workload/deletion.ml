@@ -76,7 +76,7 @@ let solve_names files ~options ~undefined =
   for v = 0 to Objfile.n_vars view - 1 do
     universe := SS.add (qualify view v) !universe
   done;
-  (sets_by_name sol, !universe)
+  (sets_by_name sol, !universe, view)
 
 (** Run the gate over [steps] (default 5) deletion steps of a seeded
     stream.  Returns the first violation found, if any. *)
@@ -84,10 +84,9 @@ let run ?(inject_unsound = false) ?(steps = 5) ~seed (profile : Profile.t) :
     (outcome, violation) result =
   let files = Genc.generate ~seed profile in
   let options = Compilep.default_options in
-  let baseline, _ = solve_names files ~options ~undefined:Linkp.Ignore in
+  let baseline, _, view = solve_names files ~options ~undefined:Linkp.Ignore in
   (* the deletion order: defined functions, shuffled by the seed *)
   let fnames =
-    let view = Pipeline.compile_link ~options files in
     Array.of_list
       (List.sort_uniq String.compare
          (Array.to_list
@@ -115,14 +114,11 @@ let run ?(inject_unsound = false) ?(steps = 5) ~seed (profile : Profile.t) :
       let k = min n (max 1 (i * n / steps)) in
       final_k := k;
       let dropped = Array.to_list (Array.sub fnames 0 k) in
-      let dropset = SS.of_list dropped in
-      let options =
-        { options with Compilep.drop_bodies = (fun f -> SS.mem f dropset) }
-      in
+      let options = { options with Compilep.drop_bodies = dropped } in
       let undefined =
         if inject_unsound then Linkp.Ignore else Linkp.Open_world
       in
-      let opened, universe = solve_names files ~options ~undefined in
+      let opened, universe, _ = solve_names files ~options ~undefined in
       let bad = ref None in
       Hashtbl.iter
         (fun name closed ->

@@ -24,24 +24,18 @@ let describe = function
   | Byte_flip (off, mask) -> Fmt.str "flip byte %d with 0x%02x" off mask
   | Table_swap (i, j) -> Fmt.str "swap section-table entries %d and %d" i j
 
-(* The section-table geometry of serialized bytes, or None if the file is
-   too mangled to locate a table (mutations then fall back to byte
-   flips). *)
+(* A CLA2 section-table entry: u8 id, u32 off, u32 size, u32 crc. *)
+let esize = 13
+
+(* The section count of serialized bytes, or None if the file is too
+   mangled to locate a table (mutations then fall back to byte flips). *)
 let table_geometry data =
-  if String.length data < 8 then None
+  if String.length data < 8 || String.sub data 0 4 <> "CLA2" then None
   else
-    let esize =
-      if String.sub data 0 4 = "CLA2" then Some 13
-      else if String.sub data 0 4 = "CLA1" then Some 9
-      else None
-    in
-    match esize with
-    | None -> None
-    | Some esize ->
-        let b i = Char.code data.[i] in
-        let nsec = b 4 lor (b 5 lsl 8) lor (b 6 lsl 16) lor (b 7 lsl 24) in
-        if nsec < 2 || 8 + (nsec * esize) > String.length data then None
-        else Some (nsec, esize)
+    let b i = Char.code data.[i] in
+    let nsec = b 4 lor (b 5 lsl 8) lor (b 6 lsl 16) lor (b 7 lsl 24) in
+    if nsec < 2 || 8 + (nsec * esize) > String.length data then None
+    else Some nsec
 
 let apply data = function
   | Truncate n -> String.sub data 0 (min n (String.length data))
@@ -55,7 +49,7 @@ let apply data = function
   | Table_swap (i, j) -> (
       match table_geometry data with
       | None -> data
-      | Some (nsec, esize) ->
+      | Some nsec ->
           let i = i mod nsec and j = j mod nsec in
           let b = Bytes.of_string data in
           let oi = 8 + (i * esize) and oj = 8 + (j * esize) in
@@ -66,12 +60,12 @@ let apply data = function
 (* CLA2's table checksum deliberately rejects reordered tables, so a
    Table_swap on current-format bytes must re-seal the header to test
    what it is meant to test: that the *reader* is order-independent.
-   [reseal] recomputes the table crc32; on CLA1 (or unrecognizable)
-   bytes it is the identity. *)
+   [reseal] recomputes the table crc32; on unrecognizable bytes it is
+   the identity. *)
 let reseal data =
   match table_geometry data with
-  | Some (nsec, 13) when String.length data >= 8 + (nsec * 13) + 4 ->
-      let table_end = 8 + (nsec * 13) in
+  | Some nsec when String.length data >= 8 + (nsec * esize) + 4 ->
+      let table_end = 8 + (nsec * esize) in
       let crc = Crc32.sub data ~pos:4 ~len:(table_end - 4) in
       let b = Bytes.of_string data in
       Bytes.set_uint8 b table_end (crc land 0xff);

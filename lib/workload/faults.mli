@@ -20,7 +20,7 @@ val describe : mutation -> string
     unlocatable section tables make the mutation a no-op. *)
 val apply : string -> mutation -> string
 
-(** Recompute a CLA2 file's section-table checksum (identity on CLA1 or
+(** Recompute a CLA2 file's section-table checksum (identity on
     unrecognizable bytes).  {!check} reseals after {!Table_swap} so the
     swap tests reader order-independence, not just the checksum. *)
 val reseal : string -> string

@@ -126,24 +126,21 @@ let plan (p : Profile.t) ~seed : t =
       arr;
     Array.map (fun l -> Array.of_list (List.rev l)) out
   in
-  let by_file arr = bucket n_files (fun v -> v.vfile) arr in
-  let by_comm arr = bucket n_comm (fun v -> v.vcomm) arr in
-  let by_fun arr = bucket n_funcs (fun v -> v.vfun) arr in
+  (* bucket each of the four pools once, then regroup per bucket *)
+  let by n key (a0, a1, a2, a3) =
+    let b0 = bucket n key a0 and b1 = bucket n key a1
+    and b2 = bucket n key a2 and b3 = bucket n key a3 in
+    Array.init n (fun k -> [| b0.(k); b1.(k); b2.(k); b3.(k) |])
+  in
   {
     params = p;
     seed;
     n_files;
     funcs;
     globals = [| g0; g1; g2; g3 |];
-    statics =
-      Array.init n_files (fun f ->
-          [| (by_file s0).(f); (by_file s1).(f); (by_file s2).(f); (by_file s3).(f) |]);
-    statics_comm =
-      Array.init n_comm (fun c ->
-          [| (by_comm s0).(c); (by_comm s1).(c); (by_comm s2).(c); (by_comm s3).(c) |]);
-    locals =
-      Array.init n_funcs (fun fn ->
-          [| (by_fun l0).(fn); (by_fun l1).(fn); (by_fun l2).(fn); (by_fun l3).(fn) |]);
+    statics = by n_files (fun v -> v.vfile) (s0, s1, s2, s3);
+    statics_comm = by n_comm (fun v -> v.vcomm) (s0, s1, s2, s3);
+    locals = by n_funcs (fun v -> v.vfun) (l0, l1, l2, l3);
     n_structs;
     fields_per_struct;
     n_instances;

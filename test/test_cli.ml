@@ -61,6 +61,55 @@ let check_run name cmd expects =
 
 let q = Filename.quote
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* The on-disk compile cache: an existing object whose recorded TU hash
+   matches the source and flags is kept ("(cached)"), anything else —
+   an edit, a new -D, an unreadable object — is recompiled. *)
+let test_compile_cache () =
+  let dir = in_tmp "cache" in
+  Sys.mkdir dir 0o755;
+  let units = [ "u1"; "u2"; "u3" ] in
+  let path u ext = Filename.concat dir (u ^ ext) in
+  List.iter
+    (fun u ->
+      Out_channel.with_open_bin (path u ".c") (fun oc ->
+          Printf.fprintf oc
+            "int %s_x, *%s_p;\nvoid %s_f(void) { %s_p = &%s_x; }\n" u u u u u))
+    units;
+  (* the set of units the run reported as cached *)
+  let compile flags =
+    let code, out =
+      run_capture
+        (Fmt.str "%s compile %s %s" cla flags
+           (String.concat " " (List.map (fun u -> q (path u ".c")) units)))
+    in
+    Alcotest.(check int) ("compile exit code\n" ^ out) 0 code;
+    List.filter
+      (fun u ->
+        List.exists
+          (fun line ->
+            contains ~affix:(u ^ ".c ->") line
+            && contains ~affix:"(cached)" line)
+          (String.split_on_char '\n' out))
+      units
+  in
+  let objects () = List.map (fun u -> read_file (path u ".clo")) units in
+  let cached = Alcotest.(check (list string)) in
+  cached "first run compiles every unit" [] (compile "");
+  let first = objects () in
+  cached "second run is all cached" units (compile "");
+  Alcotest.(check (list string)) "cached objects unchanged" first (objects ());
+  Out_channel.with_open_gen [ Open_append ] 0o644 (path "u2" ".c") (fun oc ->
+      output_string oc "int u2_y;\n");
+  cached "an edit recompiles exactly that unit" [ "u1"; "u3" ] (compile "");
+  cached "a new -D recompiles every unit" [] (compile "-D NEW=1");
+  let with_d = objects () in
+  Out_channel.with_open_bin (path "u1" ".clo") (fun oc ->
+      output_string oc (String.sub (List.hd with_d) 0 16));
+  cached "a truncated object is recompiled" [ "u2"; "u3" ] (compile "-D NEW=1");
+  Alcotest.(check (list string)) "recompiled object restored" with_d (objects ())
+
 let () =
   Alcotest.run "cli"
     [
@@ -118,6 +167,9 @@ let () =
             (Fmt.str "%s gen nethack --scale 0.05 -d %s" cla (q tmpdir))
             [ "nethack_00.c" ];
         ] );
+      ( "compile cache",
+        [ Alcotest.test_case "hits, edits, flags, truncation" `Quick
+            test_compile_cache ] );
       ( "errors",
         [
           Alcotest.test_case "missing file" `Quick (fun () ->

@@ -116,19 +116,26 @@ let test_table_swap_accepted () =
   done;
   Alcotest.(check int) "all swaps accepted" 100 !accepted
 
-(* --- CLA1 compatibility ---------------------------------------------- *)
+(* --- CLA1 is no longer read --------------------------------------------- *)
 
-let test_cla1_loads_same_solution () =
-  let db = Compilep.compile_string ~file:"t.c" source in
-  let v2 = Objfile.write db in
-  let v1 = Objfile.write ~version:1 db in
-  Alcotest.(check bool) "formats differ on disk" false (String.equal v1 v2);
-  let view1 = Objfile.view_of_string v1 in
-  Alcotest.(check int) "reader reports version 1" 1 view1.Objfile.rversion;
-  let view2 = Objfile.view_of_string v2 in
-  Alcotest.(check int) "reader reports version 2" 2 view2.Objfile.rversion;
-  Alcotest.(check bool) "identical solutions" true
-    (Solution.equal (solve_bytes v1) (solve_bytes v2))
+(* The checksum-free CLA1 format is gone: a file with its magic is
+   rejected as corrupt, which the loader reports as a [load.corrupt]
+   diagnostic naming the file. *)
+let test_cla1_rejected () =
+  let data = small_db () in
+  let v1 = "CLA1" ^ String.sub data 4 (String.length data - 4) in
+  (match Objfile.view_of_string v1 with
+  | _ -> Alcotest.fail "CLA1 bytes loaded"
+  | exception Binio.Corrupt _ -> ());
+  let path = Filename.temp_file "cla_faults" ".clo" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc v1);
+  (match Objfile.load_result path with
+  | Ok _ -> Alcotest.fail "CLA1 file loaded"
+  | Error d ->
+      Alcotest.(check bool) "diag names the file" true (d.Diag.file = Some path);
+      Alcotest.(check string) "load.corrupt diagnostic" "load.corrupt"
+        (Diag.metric_of_phase d.Diag.phase));
+  Sys.remove path
 
 (* --- corrupt files surface as structured diagnostics ------------------ *)
 
@@ -230,8 +237,8 @@ let () =
         ] );
       ( "compat",
         [
-          Alcotest.test_case "CLA1 loads, same solution" `Quick
-            test_cla1_loads_same_solution;
+          Alcotest.test_case "CLA1 rejected as corrupt" `Quick
+            test_cla1_rejected;
           Alcotest.test_case "load_result diagnostics" `Quick
             test_load_result_diag;
         ] );

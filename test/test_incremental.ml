@@ -36,7 +36,40 @@ let test_tuhash_matrix () =
     }
   in
   Alcotest.(check bool) "mode changes the hash" false
-    (String.equal h (Compilep.tu_hash ~options:opt_m ~file:"a.c" src))
+    (String.equal h (Compilep.tu_hash ~options:opt_m ~file:"a.c" src));
+  (* the default-option format external replayers reproduce *)
+  Alcotest.(check string) "default hash format"
+    (Digest.to_hex
+       (Digest.string
+          ("field_based\x00" ^ Cla_cfront.Cpp.preprocess_string ~file:"a.c" src)))
+    h;
+  (* dropped bodies are part of the hash, as a set, and only when any *)
+  let drop names =
+    Compilep.tu_hash
+      ~options:{ Compilep.default_options with Compilep.drop_bodies = names }
+      ~file:"a.c" src
+  in
+  Alcotest.(check string) "empty drop set, default hash" h (drop []);
+  Alcotest.(check bool) "drop set changes the hash" false
+    (String.equal h (drop [ "f" ]));
+  Alcotest.(check bool) "different drop sets, different hashes" false
+    (String.equal (drop [ "f" ]) (drop [ "g" ]));
+  Alcotest.(check string) "drop set order is irrelevant" (drop [ "f"; "g" ])
+    (drop [ "g"; "f" ]);
+  (* the cache decision: a matching recorded hash is a hit, anything
+     else compiles a database carrying the fresh hash *)
+  (match Compilep.compile_unit ~cached:h ~file:"a.c" src with
+  | h', Compilep.Hit -> Alcotest.(check string) "hit reports the hash" h h'
+  | _, Compilep.Compiled _ -> Alcotest.fail "matching hash recompiled");
+  List.iter
+    (fun cached ->
+      match Compilep.compile_unit ?cached ~file:"a.c" src with
+      | _, Compilep.Hit -> Alcotest.fail "stale or absent hash was a hit"
+      | h', Compilep.Compiled db ->
+          Alcotest.(check string) "miss reports the hash" h h';
+          Alcotest.(check (option string)) "miss records the hash" (Some h)
+            db.Objfile.tuhash)
+    [ None; Some h2 ]
 
 let test_tuhash_recorded () =
   let src = "int x; int *p; void f(void) { p = &x; }" in
@@ -185,6 +218,30 @@ let test_update_noop () =
   Alcotest.(check bool) "solution unchanged" true
     (Solution.equal before (Incremental.solution t))
 
+(* Dropped bodies are part of the TU hash, so a deletion-style option
+   set keeps the compile cache: unchanged units are hits. *)
+let test_update_drop_bodies_cached () =
+  let options =
+    { Compilep.default_options with Compilep.drop_bodies = [ "f" ] }
+  in
+  let a = ("a.c", "int x; int *p; void f(void) { p = &x; }") in
+  let b = ("b.c", "extern int *p; int *q; void g(void) { q = p; }") in
+  let t, _ = Incremental.create ~options [ a; b ] in
+  let s = Incremental.update t [ a; b ] in
+  Alcotest.(check int) "every unit cached" 2 s.Incremental.cache_hits;
+  Alcotest.(check int) "no recompiles" 0 s.Incremental.cache_misses;
+  let b' = ("b.c", snd b ^ " int *r; void h(void) { r = q; }") in
+  let s = Incremental.update t [ a; b' ] in
+  Alcotest.(check int) "edited unit recompiled" 1 s.Incremental.cache_misses;
+  Alcotest.(check int) "other unit cached" 1 s.Incremental.cache_hits;
+  check_same_named_pts "incremental vs scratch with dropped bodies"
+    (Incremental.view t)
+    (Pipeline.compile_link ~options [ a; b' ]);
+  Alcotest.(check bool) "f's body was dropped" false
+    (Hashtbl.mem (named_pts (Incremental.view t)) "p");
+  Alcotest.(check bool) "f's body assigns p" true
+    (Hashtbl.mem (named_pts (Pipeline.compile_link [ a; b' ])) "p")
+
 (* ------------------------------------------------------------------ *)
 (* Live --watch server across a swap                                   *)
 (* ------------------------------------------------------------------ *)
@@ -292,6 +349,8 @@ let () =
           Alcotest.test_case "stream with removals" `Quick
             test_stream_with_removals;
           Alcotest.test_case "no-op update" `Quick test_update_noop;
+          Alcotest.test_case "dropped bodies stay cached" `Quick
+            test_update_drop_bodies_cached;
         ] );
       ( "serve-watch",
         [ Alcotest.test_case "query across a swap" `Quick test_watch_server ] );

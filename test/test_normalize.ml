@@ -5,8 +5,8 @@ open Cla_ir
 open Cla_cfront
 
 let prog ?(mode = Normalize.Field_based) src =
-  Frontend.prog_of_string ~options:{ Frontend.default_options with mode }
-    ~file:"t.c" src
+  Normalize.run ~mode
+    (Cparser.parse_string ~file:"t.c" (Cpp.preprocess_string ~file:"t.c" src))
 
 (* primitive assignments as strings, e.g. "p = &x", "u =[+] v" *)
 let prims ?mode src =

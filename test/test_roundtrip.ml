@@ -122,6 +122,10 @@ let gen_stmt_text : string QCheck.Gen.t =
       map2 (fun x y -> Fmt.str "while (%s) { %s = %s; break; }" x x y) v v;
     ]
 
+let prog_of_string src =
+  Normalize.run
+    (Cparser.parse_string ~file:"gen.c" (Cpp.preprocess_string ~file:"gen.c" src))
+
 let normalizer_total =
   QCheck.Test.make ~count:200 ~name:"normalizer never fails on generated statements"
     QCheck.(make Gen.(list_size (int_range 1 25) gen_stmt_text))
@@ -130,7 +134,7 @@ let normalizer_total =
         "int a, b, c; int *p, *q;\nvoid f(void) {\n"
         ^ String.concat "\n" stmts ^ "\n}"
       in
-      let prog = Frontend.prog_of_string ~file:"gen.c" src in
+      let prog = prog_of_string src in
       (* every statement lowers to at least zero and at most 3 primitives *)
       Cla_ir.Prog.n_assigns prog <= (3 * List.length stmts) + 3)
 
@@ -142,7 +146,7 @@ let counts_match_source =
         "int a, b, c; int *p, *q;\nvoid f(void) {\n"
         ^ String.concat "\n" stmts ^ "\n}"
       in
-      let prog = Frontend.prog_of_string ~file:"gen.c" src in
+      let prog = prog_of_string src in
       let c = Cla_ir.Prog.counts prog in
       let count_of prefix =
         List.length (List.filter (fun s -> String.length s > 0 && String.sub s 0 1 = prefix) stmts)
